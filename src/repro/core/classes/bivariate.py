@@ -21,10 +21,12 @@ from repro.errors import EmptyColumnError
 from repro.data.missing import pairwise_values
 from repro.data.table import DataTable
 from repro.core.insight import (
+    BatchScoredInsightClass,
     EvaluationContext,
     Insight,
     InsightClass,
     ScoredCandidate,
+    numeric_row_blocks,
     pairs,
 )
 from repro.stats import correlation as correlation_stats
@@ -309,7 +311,7 @@ class MonotonicRelationshipInsight(InsightClass):
         )
 
 
-class DependenceInsight(InsightClass):
+class DependenceInsight(BatchScoredInsightClass):
     """General statistical dependence between attributes of mixed kinds."""
 
     name = "dependence"
@@ -341,50 +343,75 @@ class DependenceInsight(InsightClass):
             for num_name in numeric:
                 yield (cat_name, num_name)
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        first, second = attributes
-        table = context.table
+    def _table(self, context: EvaluationContext) -> DataTable:
         if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
+            return context.store.sample_table()
+        return context.table
+
+    def score_all(
+        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
+    ) -> list[ScoredCandidate]:
+        """Batched scoring on integer codes.
+
+        Categorical pairs get Cramér's V from a ``bincount`` contingency
+        table each; the categorical-numeric pairs sharing a categorical
+        column get their η² together, one ``correlation_ratios`` pass per
+        block of numeric columns.  Sketch mode reads the store's row
+        sample, exact mode the full table.
+        """
+        table = self._table(context)
+        scores: dict[tuple[str, str], tuple[float, str]] = {}
+        numeric_by_category: dict[str, list[str]] = {}
+        for first, second in candidate_tuples:
+            first_is_cat = table.column(first).kind.is_categorical
+            if first_is_cat and table.column(second).kind.is_categorical:
+                if (first, second) not in scores:
+                    scores[first, second] = (self._cramers_v(table, first, second), "cramers_v")
+                continue
+            cat_name, num_name = (first, second) if first_is_cat else (second, first)
+            numeric_by_category.setdefault(cat_name, []).append(num_name)
+        for cat_name, num_names in numeric_by_category.items():
+            column = table.categorical_column(cat_name)
+            for names, rows in numeric_row_blocks(table, num_names):
+                etas = dependence_stats.correlation_ratios(
+                    column.codes, column.n_categories(), rows)
+                for num_name, eta in zip(names, etas.tolist()):
+                    scores[cat_name, num_name] = (eta, "correlation_ratio")
+        results = []
+        for attributes in candidate_tuples:
+            # η² is stored under (categorical, numeric) whichever order came in.
+            key = attributes if attributes in scores else attributes[::-1]
+            value, measure = scores[key]
+            if np.isnan(value):
+                continue
+            results.append(ScoredCandidate(
+                attributes=attributes,
+                score=float(value),
+                details={"measure": measure},
+            ))
+        return results
+
+    @staticmethod
+    def _contingency(table: DataTable, first: str, second: str) -> dependence_stats.Contingency:
+        x = table.categorical_column(first)
+        y = table.categorical_column(second)
+        return dependence_stats.contingency(x.codes, x.categories, y.codes, y.categories)
+
+    def _cramers_v(self, table: DataTable, first: str, second: str) -> float:
         try:
-            first_kind = table.column(first).kind
-            second_kind = table.column(second).kind
-            if first_kind.is_categorical and second_kind.is_categorical:
-                value = dependence_stats.cramers_v(
-                    table.categorical_column(first).labels(),
-                    table.categorical_column(second).labels(),
-                )
-                measure = "cramers_v"
-            else:
-                cat_name, num_name = (first, second) if first_kind.is_categorical else (second, first)
-                value = dependence_stats.correlation_ratio(
-                    table.categorical_column(cat_name).labels(),
-                    table.numeric_column(num_name).values,
-                )
-                measure = "correlation_ratio"
+            return dependence_stats.table_cramers_v(self._contingency(table, first, second).counts)
         except EmptyColumnError:
-            return None
-        return ScoredCandidate(
-            attributes=attributes,
-            score=float(value),
-            details={"measure": measure},
-        )
+            return float("nan")
 
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         first, second = insight.attributes
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
+        table = self._table(context)
         first_kind = table.column(first).kind
         second_kind = table.column(second).kind
         if first_kind.is_categorical and second_kind.is_categorical:
-            contingency = dependence_stats.contingency_table(
-                table.categorical_column(first).labels(),
-                table.categorical_column(second).labels(),
-            )
-            x_levels = sorted(set(table.categorical_column(first).valid_labels()))
-            spec = heatmap_not_square(contingency, x_levels,
-                                      sorted(set(table.categorical_column(second).valid_labels())),
+            contingency = self._contingency(table, first, second)
+            spec = heatmap_not_square(contingency.counts, contingency.row_levels,
+                                      contingency.column_levels,
                                       title=f"{self.label}: {first} x {second}")
         else:
             cat_name, num_name = (first, second) if first_kind.is_categorical else (second, first)
@@ -418,8 +445,8 @@ def heatmap_not_square(
 
     data = []
     max_count = float(counts.max()) if counts.size else 1.0
-    for i, row_label in enumerate(row_labels[: counts.shape[0]]):
-        for j, column_label in enumerate(column_labels[: counts.shape[1]]):
+    for i, row_label in enumerate(row_labels):
+        for j, column_label in enumerate(column_labels):
             count = float(counts[i, j])
             data.append(
                 {

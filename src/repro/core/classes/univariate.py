@@ -12,17 +12,19 @@ the twelve shipped with the demo:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import EmptyColumnError
 from repro.data.table import DataTable
 from repro.core.insight import (
+    BatchScoredInsightClass,
     EvaluationContext,
     Insight,
     InsightClass,
     ScoredCandidate,
+    numeric_row_blocks,
     singletons,
 )
 from repro.stats import moments as moment_stats
@@ -204,7 +206,7 @@ class HeavyTailsInsight(_UnivariateNumericInsight):
         )
 
 
-class OutlierInsight(_UnivariateNumericInsight):
+class OutlierInsight(BatchScoredInsightClass, _UnivariateNumericInsight):
     """Presence and significance of extreme outliers.
 
     Paper section 2.2, insight 4: a user-configurable detector finds the
@@ -222,34 +224,49 @@ class OutlierInsight(_UnivariateNumericInsight):
         self.detector = detector
         self.detector_kwargs = dict(detector_kwargs)
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        name = attributes[0]
+    def score_all(
+        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
+    ) -> list[ScoredCandidate]:
+        """Sketch mode scores every sketched column in one batched pass
+        over the store's row sample; exact mode runs the configured
+        detector column by column."""
+        sketched: dict[str, float | None] = {}
+        if context.use_sketches:
+            names = [attrs[0] for attrs in candidate_tuples
+                     if context.store.has_column(attrs[0])]
+            names = list(dict.fromkeys(names))
+            sketched = dict(zip(names, context.store.approx_outlier_strengths(names)))
+        sketch_details = {"detector": f"{self.detector} (sketch-approximated)"}
+        results = []
+        for attributes in candidate_tuples:
+            name = attributes[0]
+            if name in sketched:
+                strength = sketched[name]
+                scored = None if strength is None else ScoredCandidate(
+                    attributes=attributes, score=strength,
+                    details=dict(sketch_details))
+            else:
+                scored = self._safe(attributes, lambda: self._score_exact(attributes, context))
+            if scored is not None:
+                results.append(scored)
+        return results
 
-        def compute() -> ScoredCandidate | None:
-            if context.use_sketches and context.store.has_column(name):
-                strength = context.store.approx_outlier_strength(name)
-                details = {"detector": f"{self.detector} (sketch-approximated)"}
-                if strength == 0.0:
-                    return ScoredCandidate(attributes=attributes, score=0.0, details=details)
-                return ScoredCandidate(attributes=attributes, score=float(strength),
-                                       details=details)
-            values = self._values(name, context)
-            if values.size < 4:
-                return None
-            strength, result = outlier_stats.outlier_strength(
-                values, self.detector, **self.detector_kwargs
-            )
-            return ScoredCandidate(
-                attributes=attributes,
-                score=float(strength),
-                details={
-                    "detector": result.detector,
-                    "n_outliers": result.count,
-                    "outlier_fraction": result.fraction,
-                },
-            )
-
-        return self._safe(attributes, compute)
+    def _score_exact(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
+        values = self._values(attributes[0], context)
+        if values.size < 4:
+            return None
+        strength, result = outlier_stats.outlier_strength(
+            values, self.detector, **self.detector_kwargs
+        )
+        return ScoredCandidate(
+            attributes=attributes,
+            score=float(strength),
+            details={
+                "detector": result.detector,
+                "n_outliers": result.count,
+                "outlier_fraction": result.fraction,
+            },
+        )
 
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         name = insight.attributes[0]
@@ -309,7 +326,7 @@ class MultimodalityInsight(_UnivariateNumericInsight):
         return f"{name} shows {n_modes} modes (strength {candidate.score:.2f})"
 
 
-class NormalityInsight(_UnivariateNumericInsight):
+class NormalityInsight(BatchScoredInsightClass, _UnivariateNumericInsight):
     """Distribution shape relative to the normal distribution.
 
     The section 4.1 scenario reports that "Time Devoted To Leisure has a
@@ -324,22 +341,26 @@ class NormalityInsight(_UnivariateNumericInsight):
     description = "How far a univariate distribution departs from normal"
     metric_name = "non_normality"
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        name = attributes[0]
-
-        def compute() -> ScoredCandidate | None:
-            if context.use_sketches and context.store is not None:
-                sample = context.store.sample_table()
-                values = sample.numeric_column(name).valid_values()
-            else:
-                values = self._values(name, context)
-            if values.size < 8:
-                return None
-            result = normality_stats.normality_test(values)
-            score = normality_stats.non_normality_score(values)
-            return ScoredCandidate(
+    def score_all(
+        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
+    ) -> list[ScoredCandidate]:
+        """One batched normality pass over the row sample (sketch mode) or
+        the full columns (exact mode)."""
+        table = context.table
+        if context.use_sketches and context.store is not None:
+            table = context.store.sample_table()
+        tested: dict[str, normality_stats.NormalityResult | None] = {}
+        for names, rows in numeric_row_blocks(table, [a[0] for a in candidate_tuples]):
+            tested.update(zip(names, normality_stats.normality_tests(rows)))
+        results = []
+        for attributes in candidate_tuples:
+            result = tested[attributes[0]]
+            if result is None:
+                continue
+            score = 1.0 - result.normality_score
+            results.append(ScoredCandidate(
                 attributes=attributes,
-                score=float(score),
+                score=score,
                 details={
                     "shape": result.shape_label,
                     "skewness": result.skewness,
@@ -347,9 +368,8 @@ class NormalityInsight(_UnivariateNumericInsight):
                     "ks_statistic": result.ks_statistic,
                     "normality_score": 1.0 - score,
                 },
-            )
-
-        return self._safe(attributes, compute)
+            ))
+        return results
 
     def summarize(self, candidate: ScoredCandidate) -> str:
         name = candidate.attributes[0]

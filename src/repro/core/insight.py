@@ -24,6 +24,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.data.table import DataTable
 from repro.sketch.store import SketchStore
 from repro.viz.spec import VisualizationSpec
@@ -242,6 +244,40 @@ class InsightClass(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<InsightClass {self.name!r} metric={self.metric_name!r}>"
+
+
+class BatchScoredInsightClass(InsightClass):
+    """An insight class whose batched :meth:`score_all` is its only scorer.
+
+    :meth:`score` is ``score_all([attributes])[0]``, so one code path
+    serves single candidates and whole carousels alike.
+    """
+
+    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
+        scored = self.score_all([tuple(attributes)], context)
+        return scored[0] if scored else None
+
+    @abc.abstractmethod
+    def score_all(
+        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
+    ) -> list[ScoredCandidate]:
+        """Batched scoring under :meth:`InsightClass.score_all`'s contract."""
+
+
+#: Cells per block of a batched scoring pass: bounds its temporaries when
+#: an exact-mode pass reads full columns (a row sample is one block).
+BATCH_CELLS = 1 << 20
+
+
+def numeric_row_blocks(
+    table: DataTable, names: Sequence[str]
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """``(names, rows)`` blocks of :meth:`DataTable.numeric_rows`."""
+    names = list(dict.fromkeys(names))
+    step = max(1, BATCH_CELLS // max(table.n_rows, 1))
+    for start in range(0, len(names), step):
+        block = names[start:start + step]
+        yield block, table.numeric_rows(block)
 
 
 def pairs(names: Sequence[str]) -> Iterator[tuple[str, str]]:

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SchemaError, UnknownColumnError
+from repro.obs.resources import record_rows
 from repro.data.column import (
     BooleanColumn,
     CategoricalColumn,
@@ -331,6 +332,23 @@ class DataTable:
         if not arrays:
             return np.empty((self._n_rows, 0), dtype=np.float64), []
         return np.column_stack(arrays), list(names)
+
+    def numeric_rows(self, names: Sequence[str]) -> np.ndarray:
+        """The named numeric columns as a ``(len(names), n)`` matrix.
+
+        One row per column (NaN where missing), so a reduction along
+        ``axis=1`` runs over each column's contiguous values: the result
+        for one column is bit-identical however many columns share the
+        matrix, which is what lets batched scoring keep ``score_all``'s
+        batch-independence contract.  Bills the rows it reads.
+        """
+        rows = np.empty((len(names), self._n_rows), dtype=np.float64)
+        for i, name in enumerate(names):
+            column = self.numeric_column(name)
+            rows[i] = column.values
+            rows[i, column.mask] = np.nan
+        record_rows(self._n_rows * len(names))
+        return rows
 
     def iter_records(self) -> Iterator[dict[str, object]]:
         """Iterate over rows as dictionaries (None marks missing values)."""

@@ -276,9 +276,6 @@ def merge_delta(
         delta_rows=store.stats.delta_rows + delta_rows,
         delta_batches=store.stats.delta_batches + 1,
     )
-    stats.total_sketch_bytes = sum(
-        bundle.memory_bytes() for bundle in columns.values()
-    )
     stats.per_stage_seconds["delta_merge"] = time.perf_counter() - start
 
     return SketchStore.from_parts(

@@ -12,7 +12,8 @@ will support fast approximate insight querying" (paper, section 1).  The
 * a :class:`~repro.sketch.frequent.MisraGriesSketch` and an
   :class:`~repro.sketch.entropy.EntropySketch` (categorical and discrete
   numeric columns),
-* plus a uniform row sample shared by all visualizations.
+* plus a uniform row sample, taken once per store and shared by the
+  visualizations and the sample-backed insight classes.
 
 The store exposes approximate versions of the insight metrics; the engine
 decides per query whether to use them (``mode="approximate"``) or to fall
@@ -24,12 +25,14 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from dataclasses import replace as dataclass_replace
 from typing import ClassVar, Mapping
 
 import numpy as np
 
-from repro.errors import SketchNotAvailableError
+from repro.errors import EmptyColumnError, SketchNotAvailableError
 from repro.core.executor import Executor, SerialExecutor
+from repro.obs.ledger import table_bytes
 from repro.obs.resources import record_sketch_probe
 from repro.data.column import CategoricalColumn, NumericColumn
 from repro.data.table import DataTable
@@ -186,15 +189,14 @@ class SketchStore:
         self._sample_indices = reservoir_row_indices(
             table.n_rows, config.sample_capacity, seed=config.seed
         )
+        self._sample = _take_sample(table, self._sample_indices)
 
         self._stats.seconds = time.perf_counter() - start
         self._stats.n_rows = table.n_rows
         self._stats.n_numeric = len(numeric_names)
         self._stats.n_categorical = len(categorical_names)
         self._stats.hyperplane_width = width
-        self._stats.total_sketch_bytes = sum(
-            bundle.memory_bytes() for bundle in self._columns.values()
-        )
+        self._stats.total_sketch_bytes = _payload_bytes(self._columns, self._sample)
 
     def _build_numeric_column(
         self, name: str, signature: HyperplaneSketch | None, index: int
@@ -284,6 +286,8 @@ class SketchStore:
         ingest layer merges delta partials into *copies* of a live
         store's sketches and packages the result as a new store object,
         so in-flight readers of the old store never observe a mutation.
+        The row sample is taken here, and ``stats.total_sketch_bytes`` is
+        recomputed to cover the given bundles plus that sample.
         """
         store = cls.__new__(cls)
         store._table = table
@@ -292,7 +296,10 @@ class SketchStore:
         store._columns = dict(columns)
         store._sketcher = sketcher
         store._sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        store._stats = stats
+        store._sample = _take_sample(table, store._sample_indices)
+        store._stats = dataclass_replace(
+            stats, total_sketch_bytes=_payload_bytes(store._columns, store._sample)
+        )
         return store
 
     # ------------------------------------------------------------------
@@ -340,10 +347,11 @@ class SketchStore:
         return name in self._columns
 
     def sample_table(self) -> DataTable:
-        """The uniform row sample used by visualizations."""
-        return self._table.take(self._sample_indices, name=f"{self._table.name}-sample")
+        """The uniform row sample, taken once when the store was built."""
+        return self._sample
 
     def memory_bytes(self) -> int:
+        """Payload bytes of every column's sketches plus the row sample."""
         return self._stats.total_sketch_bytes
 
     # ------------------------------------------------------------------
@@ -421,30 +429,54 @@ class SketchStore:
     def approx_normalized_entropy(self, name: str) -> float:
         return self._require(name, "entropy").estimate_normalized_entropy()
 
-    def approx_outlier_strength(self, name: str, whisker_k: float = 1.5) -> float:
-        """Approximate the Outlier insight metric from sketches only.
+    def approx_outlier_strengths(
+        self, names: list[str], whisker_k: float = 1.5
+    ) -> list[float | None]:
+        """Approximate the Outlier insight metric of many columns at once.
 
-        Outliers are taken to be points beyond the Tukey fences estimated
-        from the quantile sketch; their average standardized distance is
-        estimated from the row sample (sketch-backed, no full-data pass).
+        Outliers are the row-sample points beyond the Tukey fences
+        estimated from each column's quantile sketch; the metric is their
+        average distance from the sketched mean, in sketched standard
+        deviations.  The sample part is one pass over a ``(columns, rows)``
+        matrix whose reductions run along ``axis=1``, so a column's value
+        does not depend on the other names.  None marks a column whose
+        quantile sketch is empty.
         """
-        quantiles: QuantileSketch = self._require(name, "quantiles")
-        moments: MomentSketch = self._require(name, "moments")
-        q1 = quantiles.quantile(0.25)
-        q3 = quantiles.quantile(0.75)
-        iqr = q3 - q1
-        std = moments.std()
-        if std == 0.0 or np.isnan(std):
-            return 0.0
-        low, high = q1 - whisker_k * iqr, q3 + whisker_k * iqr
-        sample_column = self.sample_table().numeric_column(name)
-        sample = sample_column.valid_values()
-        if sample.size == 0:
-            return 0.0
-        outliers = sample[(sample < low) | (sample > high)]
-        if outliers.size == 0:
-            return 0.0
-        return float(np.mean(np.abs(outliers - moments.mean()) / std))
+        low, high, mean, std = (np.zeros((len(names), 1)) for _ in range(4))
+        empty = np.zeros(len(names), dtype=bool)
+        for i, name in enumerate(names):
+            quantiles: QuantileSketch = self._require(name, "quantiles")
+            moments: MomentSketch = self._require(name, "moments")
+            try:
+                q1, q3 = quantiles.quantile(0.25), quantiles.quantile(0.75)
+            except EmptyColumnError:
+                empty[i] = True
+                continue
+            low[i], high[i] = q1 - whisker_k * (q3 - q1), q3 + whisker_k * (q3 - q1)
+            mean[i], std[i] = moments.mean(), moments.std()
+        rows = self._sample.numeric_rows(names)
+        outlier = (rows < low) | (rows > high)
+        count = np.count_nonzero(outlier, axis=1)
+        usable = ((std > 0.0) & ~np.isnan(std))[:, 0]
+        distance = np.abs(rows - mean) / np.where(std > 0.0, std, 1.0)
+        total = np.where(outlier, distance, 0.0).sum(axis=1)
+        strength = np.where(usable & (count > 0), total / np.maximum(count, 1), 0.0)
+        return [None if empty[i] else float(strength[i]) for i in range(len(names))]
+
+    def approx_outlier_strength(self, name: str, whisker_k: float = 1.5) -> float:
+        """:meth:`approx_outlier_strengths` of one column."""
+        strength = self.approx_outlier_strengths([name], whisker_k)[0]
+        if strength is None:
+            raise EmptyColumnError("quantile sketch is empty")
+        return strength
+
+
+def _take_sample(table: DataTable, indices: np.ndarray) -> DataTable:
+    return table.take(indices, name=f"{table.name}-sample")
+
+
+def _payload_bytes(columns: Mapping[str, ColumnSketches], sample: DataTable) -> int:
+    return sum(bundle.memory_bytes() for bundle in columns.values()) + table_bytes(sample)
 
 
 def preprocess(table: DataTable, config: SketchStoreConfig | None = None) -> SketchStore:

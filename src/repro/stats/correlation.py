@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from repro.errors import EmptyColumnError
 
@@ -42,26 +43,10 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean of the tied positions)."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        average_rank = 0.5 * (i + j) + 1.0
-        ranks[order[i: j + 1]] = average_rank
-        i = j + 1
-    return ranks
-
-
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation coefficient (Pearson on average ranks)."""
     x, y = _pair(x, y)
-    return pearson(_ranks(x), _ranks(y))
+    return pearson(rankdata(x, method="average"), rankdata(y, method="average"))
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
@@ -141,7 +126,7 @@ def correlation_matrix(
 
 def _dense_correlation(matrix: np.ndarray, method: str) -> np.ndarray:
     if method == "spearman":
-        matrix = np.column_stack([_ranks(matrix[:, j]) for j in range(matrix.shape[1])])
+        matrix = rankdata(matrix, method="average", axis=0)
     elif method != "pearson":
         raise ValueError(f"unknown correlation method {method!r}")
     d = matrix.shape[1]

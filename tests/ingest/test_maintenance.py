@@ -15,6 +15,7 @@ from repro.ingest import (
     merge_delta,
     should_rebuild,
 )
+from repro.obs.ledger import table_bytes
 from repro.sketch.store import SketchStore
 
 
@@ -140,6 +141,21 @@ class TestMergeDelta:
         assert len(np.unique(indices)) == len(indices)
         # Sample table materialises over the grown table without error.
         assert merged.sample_table().n_rows == len(indices)
+
+    def test_merged_sample_is_prebuilt_and_counted(self, store, base_table,
+                                                   delta_table):
+        merged = _merged(store, base_table, delta_table)
+        sample = merged.sample_table()
+        assert sample is merged.sample_table()
+        expected = merged.table.take(merged.sample_indices)
+        for name in merged.table.numeric_names():
+            assert np.array_equal(sample.numeric_column(name).values,
+                                  expected.numeric_column(name).values,
+                                  equal_nan=True)
+        sketches = sum(bundle.memory_bytes()
+                       for bundle in merged.column_map().values())
+        assert merged.memory_bytes() == sketches + table_bytes(sample)
+        assert merged.stats.total_sketch_bytes == merged.memory_bytes()
 
     def test_delta_accounting(self, store, base_table, delta_table):
         merged = _merged(store, base_table, delta_table)

@@ -130,6 +130,11 @@ class TestWorkspaceLedgerUnderChurn:
         row = memory["datasets"]["demo"]["sketches"]
         store = workspace.engine("demo").store
         assert row == store.memory_bytes()
+        # The prebuilt row sample is part of the store's payload.
+        sketches = sum(bundle.memory_bytes()
+                       for bundle in store.column_map().values())
+        assert row == sketches + table_bytes(store.sample_table())
+        assert row == store.stats.total_sketch_bytes
         # The payload accounting is a documented lower bound on the
         # full allocation walk (it excludes Python object overhead).
         assert 0 < row <= deep_sizeof(store)

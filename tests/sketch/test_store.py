@@ -58,6 +58,12 @@ class TestConstruction:
         assert sample.n_rows <= store.config.sample_capacity
         assert sample.column_names() == store.table.column_names()
 
+    def test_sample_table_is_built_once(self, store):
+        sample = store.sample_table()
+        assert sample is store.sample_table()
+        expected = store.table.take(store.sample_indices)
+        assert sample.to_records() == expected.to_records()
+
 
 class TestApproximateMetrics:
     def test_moments_match_exact(self, store, store_table):
@@ -101,6 +107,12 @@ class TestApproximateMetrics:
     def test_entropy_positive(self, store):
         assert store.approx_entropy("cat_00") > 0
         assert 0 <= store.approx_normalized_entropy("cat_00") <= 1
+
+    def test_outlier_strengths_batch_is_per_column(self, store):
+        names = store.table.numeric_names()
+        batched = store.approx_outlier_strengths(names)
+        assert batched == [store.approx_outlier_strength(name) for name in names]
+        assert batched[::-1] == store.approx_outlier_strengths(names[::-1])
 
     def test_outlier_strength_nonnegative(self, store):
         for name in ("attr_000", "attr_007"):

@@ -6,7 +6,9 @@ import pytest
 from repro.errors import EmptyColumnError
 from repro.stats.dependence import (
     chi_square,
+    contingency,
     contingency_table,
+    factorize,
     correlation_ratio,
     cramers_v,
     discretize,
@@ -33,6 +35,22 @@ class TestContingency:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             contingency_table(["a"], ["x", "y"])
+
+    def test_levels_name_only_levels_in_complete_pairs(self):
+        # "b" only meets a missing partner: it gets no row, and the
+        # returned levels say which rows the counts have.
+        result = contingency(*factorize(["a", "b", "c", "a"]),
+                             *factorize(["u", None, "v", "v"]))
+        assert result.row_levels == ["a", "c"]
+        assert result.column_levels == ["u", "v"]
+        assert result.counts.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+
+    def test_levels_come_out_in_label_order(self):
+        result = contingency(np.array([0, 1, 2]), ["z", "a", "m"],
+                             np.array([0, 0, 1]), ["y", "x"])
+        assert result.row_levels == ["a", "m", "z"]
+        assert result.column_levels == ["x", "y"]
+        assert result.counts.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
     def test_chi_square_independent_is_small(self):
         rng = np.random.default_rng(0)
