@@ -251,6 +251,11 @@ class OutlierInsight(BatchScoredInsightClass, _UnivariateNumericInsight):
                 results.append(scored)
         return results
 
+    def scores_elementwise(self, context: EvaluationContext) -> bool:
+        # Only the sketch path is batched; exact mode shards its
+        # column-by-column detector runs like any element-wise class.
+        return not context.use_sketches
+
     def _score_exact(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
         values = self._values(attributes[0], context)
         if values.size < 4:

@@ -194,13 +194,14 @@ class InsightClass(abc.ABC):
                 results.append(scored)
         return results
 
-    def scores_elementwise(self) -> bool:
-        """Whether scoring is a plain per-candidate loop (no batched override).
+    def scores_elementwise(self, context: EvaluationContext) -> bool:
+        """Whether scoring in ``context`` is a plain per-candidate loop.
 
         The query pipeline shards the score stage of such classes across
         executor workers; classes overriding :meth:`score_all` vectorise
         internally (one matrix product beats four chunked ones), so they
-        are scored in a single batch instead.
+        are scored in a single batch instead.  An override whose batched
+        path covers only some modes says so here.
         """
         return type(self).score_all is InsightClass.score_all
 

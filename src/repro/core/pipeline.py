@@ -383,7 +383,7 @@ class QueryPipeline:
             stats.score_evaluations += len(admissible)
         if (
             self._executor.max_workers > 1
-            and insight_class.scores_elementwise()
+            and insight_class.scores_elementwise(query_context)
         ):
             chunks = shard(
                 admissible,

@@ -321,17 +321,8 @@ class DataTable:
         Missing values are returned as NaN; callers decide the policy.
         Returns the matrix and the column names in matrix order.
         """
-        if names is None:
-            names = self.numeric_names()
-        arrays = []
-        for name in names:
-            column = self.numeric_column(name)
-            values = column.values.copy()
-            values[column.mask] = np.nan
-            arrays.append(values)
-        if not arrays:
-            return np.empty((self._n_rows, 0), dtype=np.float64), []
-        return np.column_stack(arrays), list(names)
+        names = self.numeric_names() if names is None else list(names)
+        return np.ascontiguousarray(self._numeric_block(names).T), names
 
     def numeric_rows(self, names: Sequence[str]) -> np.ndarray:
         """The named numeric columns as a ``(len(names), n)`` matrix.
@@ -342,12 +333,17 @@ class DataTable:
         matrix, which is what lets batched scoring keep ``score_all``'s
         batch-independence contract.  Bills the rows it reads.
         """
+        rows = self._numeric_block(names)
+        record_rows(self._n_rows * len(names))
+        return rows
+
+    def _numeric_block(self, names: Sequence[str]) -> np.ndarray:
+        """One float row per named numeric column, NaN where missing."""
         rows = np.empty((len(names), self._n_rows), dtype=np.float64)
         for i, name in enumerate(names):
             column = self.numeric_column(name)
             rows[i] = column.values
             rows[i, column.mask] = np.nan
-        record_rows(self._n_rows * len(names))
         return rows
 
     def iter_records(self) -> Iterator[dict[str, object]]:

@@ -463,13 +463,6 @@ class SketchStore:
         strength = np.where(usable & (count > 0), total / np.maximum(count, 1), 0.0)
         return [None if empty[i] else float(strength[i]) for i in range(len(names))]
 
-    def approx_outlier_strength(self, name: str, whisker_k: float = 1.5) -> float:
-        """:meth:`approx_outlier_strengths` of one column."""
-        strength = self.approx_outlier_strengths([name], whisker_k)[0]
-        if strength is None:
-            raise EmptyColumnError("quantile sketch is empty")
-        return strength
-
 
 def _take_sample(table: DataTable, indices: np.ndarray) -> DataTable:
     return table.take(indices, name=f"{table.name}-sample")

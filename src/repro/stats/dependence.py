@@ -198,12 +198,12 @@ def correlation_ratios(codes: np.ndarray, n_levels: int, rows: np.ndarray) -> np
     rows = np.asarray(rows, dtype=np.float64)
     keep = (codes >= 0) & ~np.isnan(rows)
     n = np.count_nonzero(keep, axis=1)
-    present = np.where(keep, rows, 0.0)
     n_rows = rows.shape[0]
-    cells = (np.arange(n_rows)[:, None] * n_levels + np.where(keep, codes, 0)).ravel()
+    flat = keep.ravel()
+    cells = (np.arange(n_rows)[:, None] * n_levels + codes).ravel()[flat]
     size = n_rows * n_levels
-    group_n = np.bincount(cells, weights=keep.ravel(), minlength=size)
-    group_sum = np.bincount(cells, weights=present.ravel(), minlength=size)
+    group_n = np.bincount(cells, minlength=size).astype(np.float64)
+    group_sum = np.bincount(cells, weights=rows.ravel()[flat], minlength=size)
     group_n = group_n.reshape(n_rows, n_levels)
     group_sum = group_sum.reshape(n_rows, n_levels)
     # The overall mean from the same group sums: a single level's group

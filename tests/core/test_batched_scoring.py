@@ -6,7 +6,7 @@ loops, scipy's ``kstest`` plus the moment functions for normality, and
 the one-column sketch outlier metric.  The batched classes must keep
 their rankings identical and every score within ``TOLERANCE`` of them,
 on every bundled dataset and on a mixed table with injected NaNs, a
-constant column and a single-level categorical.
+constant column, a single-level and a zero-level categorical.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ ORACLES = [
 # Datasets
 # ---------------------------------------------------------------------------
 def awkward_mixed_table() -> DataTable:
-    """Mixed table with NaNs, a constant column and a single-level category."""
+    """Mixed table with NaNs, a constant column, a single-level category and
+    an all-missing (zero-level) category."""
     base = make_mixed_table(n_rows=1500, n_numeric=8, n_categorical=3,
                             n_categories=6, seed=17)
     rng = np.random.default_rng(17)
@@ -193,6 +194,8 @@ def awkward_mixed_table() -> DataTable:
     single = np.where(rng.random(n) < 0.2, CategoricalColumn.MISSING_CODE, 0)
     columns.append(CategoricalColumn(Field("single", ColumnKind.CATEGORICAL),
                                      single, ["only"]))
+    empty = np.full(n, CategoricalColumn.MISSING_CODE)
+    columns.append(CategoricalColumn(Field("empty", ColumnKind.CATEGORICAL), empty, []))
     return DataTable(columns, name="awkward")
 
 

@@ -10,6 +10,7 @@ from repro.core.query import InsightQuery, MetricRange
 from repro.core.ranking import RankingEngine
 from repro.core.registry import InsightRegistry, default_registry
 from repro.service.pipeline import PipelineStats, QueryPipeline
+from repro.sketch.store import SketchStore
 
 
 class _CountingInsight(InsightClass):
@@ -220,6 +221,24 @@ class TestShardedScoring:
                 stats=stats,
             )
             assert stats.score_shards == 0
+        finally:
+            executor.close()
+
+    def test_outliers_shard_in_exact_mode_only(self, oecd_table):
+        """The exact detector loop shards; the batched sketch pass does not."""
+        executor = ParallelExecutor(ExecutorConfig(max_workers=4, min_chunk_size=1))
+        store = SketchStore(oecd_table)
+        try:
+            pipeline = QueryPipeline(default_registry(), executor=executor)
+            for mode, sharded in (("exact", True), ("approximate", False)):
+                context = EvaluationContext(table=oecd_table, store=store, mode=mode)
+                query = InsightQuery("outliers", top_k=5, mode=mode)
+                stats = PipelineStats()
+                parallel = pipeline.execute([query], context, stats=stats)
+                assert (stats.score_shards > 1) == sharded, mode
+                serial = QueryPipeline(default_registry()).execute([query], context)
+                assert parallel[0].attribute_sets() == serial[0].attribute_sets()
+                assert [i.score for i in parallel[0]] == [i.score for i in serial[0]]
         finally:
             executor.close()
 

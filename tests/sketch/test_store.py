@@ -111,12 +111,12 @@ class TestApproximateMetrics:
     def test_outlier_strengths_batch_is_per_column(self, store):
         names = store.table.numeric_names()
         batched = store.approx_outlier_strengths(names)
-        assert batched == [store.approx_outlier_strength(name) for name in names]
+        assert batched == [store.approx_outlier_strengths([name])[0] for name in names]
         assert batched[::-1] == store.approx_outlier_strengths(names[::-1])
 
     def test_outlier_strength_nonnegative(self, store):
         for name in ("attr_000", "attr_007"):
-            assert store.approx_outlier_strength(name) >= 0.0
+            assert store.approx_outlier_strengths([name])[0] >= 0.0
 
     def test_missing_sketch_raises(self, store):
         with pytest.raises(SketchNotAvailableError):

@@ -134,3 +134,7 @@ class TestCorrelationRatio:
         labels = ["a", None, "b", "b"]
         values = np.array([1.0, 2.0, np.nan, 3.0])
         assert 0.0 <= correlation_ratio(labels, values) <= 1.0
+
+    def test_all_missing_labels_raise(self):
+        with pytest.raises(EmptyColumnError):
+            correlation_ratio([None] * 4, np.arange(4.0))
