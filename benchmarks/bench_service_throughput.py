@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import ExecutorConfig, InsightRequest, Workspace  # noqa: E402
 from repro.core.query import InsightQuery  # noqa: E402
 from repro.data.datasets import make_numeric_table  # noqa: E402
-from repro.service.pipeline import PipelineStats  # noqa: E402
+from repro.core.pipeline import PipelineStats  # noqa: E402
 from repro.viz.ascii import render_table  # noqa: E402
 
 N_ROWS = 20_000

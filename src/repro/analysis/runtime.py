@@ -1,13 +1,14 @@
 """Runtime counterpart of the static lock-order rule.
 
-The AST walker sees lexical nesting; this shim sees *actual* nesting.
+The AST walker sees lexical nesting; this tracker sees *actual* nesting.
 With ``REPRO_DEBUG_LOCKS=1`` the test suite (via ``tests/conftest.py``)
-installs a :class:`LockTracker` that wraps ``threading.Lock`` /
-``threading.RLock`` construction in thin proxies.  Every successful
-blocking acquisition resolves the acquiring source line against the
-*statically extracted* site table (:func:`repro.analysis.locks.
-collect_lock_sites`), giving the lock its declared role, and is checked
-against the per-thread stack of roles already held:
+installs a :class:`LockTracker` as the order observer of the shared lock
+shim (:mod:`repro.obs.lockshim`, which the lock-wait watchdog also
+observes).  Every successful blocking acquisition resolves the acquiring
+source line against the *statically extracted* site table
+(:func:`repro.analysis.locks.collect_lock_sites`), giving the lock its
+declared role, and is checked against the per-thread stack of roles
+already held:
 
 * acquiring a lower-level role while holding a higher one → violation;
 * re-entering a non-reentrant role → violation.
@@ -18,8 +19,8 @@ Acquisitions from unresolved sites (test helpers, third-party code) are
 ignored rather than guessed at: the tracker only ever reasons about
 locks it can name, which also keeps it safe around ``threading.
 Condition`` — the condition's internal ``_acquire_restore`` bookkeeping
-reaches the raw lock through ``__getattr__`` delegation and bypasses
-tracking entirely.
+reaches the raw lock through the proxy's ``__getattr__`` delegation and
+bypasses tracking entirely.
 
 Violations are recorded, not raised, at the point of detection (raising
 inside an arbitrary lock acquire corrupts the program under test);
@@ -37,12 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .locks import LockSite, collect_lock_sites
+from repro.obs import lockshim
+
 from .project import DEFAULT_CONFIG, ProjectConfig
 
 __all__ = ["LockTracker", "LockOrderViolation", "install_from_env"]
-
-_MAX_FRAMES = 20
 
 
 @dataclass(frozen=True)
@@ -62,97 +62,30 @@ class LockOrderViolation:
         )
 
 
-class _TracedLock:
-    """Transparent proxy over a real lock, reporting to the tracker."""
-
-    __slots__ = ("_inner", "_tracker")
-
-    def __init__(self, inner, tracker: "LockTracker"):
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_tracker", tracker)
-
-    def acquire(self, blocking: bool = True, timeout: float = -1):
-        ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            self._tracker._on_acquire(self, blocking)
-        return ok
-
-    def release(self):
-        self._tracker._on_release(self)
-        self._inner.release()
-
-    def __enter__(self):
-        return self.acquire()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.release()
-        return False
-
-    def locked(self):
-        return self._inner.locked()
-
-    def __getattr__(self, name):
-        # Everything else (e.g. Condition's _acquire_restore/_release_save
-        # and _is_owned) goes straight to the raw lock, deliberately
-        # untracked.
-        return getattr(self._inner, name)
-
-    def __repr__(self):
-        return f"<traced {self._inner!r}>"
-
-
 class LockTracker:
-    """Patches lock construction and records ordering violations."""
+    """Observes lock acquisitions and records ordering violations."""
 
     def __init__(self, config: ProjectConfig | None = None):
         self.config = config or DEFAULT_CONFIG
         self.violations: list[LockOrderViolation] = []
-        self._sites: dict[tuple[str, int], LockSite] = {}
-        self._files: set[str] = set()
+        self._sites = lockshim.SiteTable({})
         self._levels = {spec.lock_id: spec.level for spec in self.config.locks}
         self._reentrant = {spec.lock_id for spec in self.config.locks if spec.reentrant}
         self._declared: dict[int, str] = {}
         self._held = threading.local()
         self._record_lock = threading.Lock()
-        self._installed = False
-        self._orig_lock = None
-        self._orig_rlock = None
-        self._realpaths: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
     def install(self, roots: Iterable[Path] | None = None) -> "LockTracker":
-        """Load the static site table and patch threading factories."""
-        if roots is None:
-            import repro
-
-            roots = [Path(repro.__file__).resolve().parent]
-        self._sites = collect_lock_sites(roots, self.config)
-        self._files = {path for path, _line in self._sites}
-        if self._installed:
-            return self
-        self._orig_lock = threading.Lock
-        self._orig_rlock = threading.RLock
-        tracker = self
-
-        def make_lock():
-            return _TracedLock(tracker._orig_lock(), tracker)
-
-        def make_rlock():
-            return _TracedLock(tracker._orig_rlock(), tracker)
-
-        threading.Lock = make_lock  # type: ignore[assignment]
-        threading.RLock = make_rlock  # type: ignore[assignment]
-        self._installed = True
+        """Load the static site table and observe locks created from now on."""
+        self._sites = lockshim.site_table(roots, self.config)
+        lockshim.install("order", self)
         return self
 
     def uninstall(self) -> None:
-        if not self._installed:
-            return
-        threading.Lock = self._orig_lock  # type: ignore[assignment]
-        threading.RLock = self._orig_rlock  # type: ignore[assignment]
-        self._installed = False
+        lockshim.uninstall("order", self)
 
     def declare(self, lock, role: str) -> None:
         """Pin a role to a lock object (tests; skips site resolution)."""
@@ -168,32 +101,12 @@ class LockTracker:
             self._held.stack = stack
         return stack
 
-    def _realpath(self, filename: str) -> str:
-        cached = self._realpaths.get(filename)
-        if cached is None:
-            cached = os.path.realpath(filename)
-            self._realpaths[filename] = cached
-        return cached
-
-    def _resolve(self, lock) -> tuple[str | None, str]:
-        declared = self._declared.get(id(lock))
-        if declared is not None:
-            return declared, "<declared>"
-        frame = sys._getframe(2)  # _resolve <- _on_acquire <- acquire
-        for _ in range(_MAX_FRAMES):
-            if frame is None:
-                break
-            filename = self._realpath(frame.f_code.co_filename)
-            if filename in self._files:
-                site = self._sites.get((filename, frame.f_lineno))
-                if site is not None and site.lock_id is not None:
-                    return site.lock_id, f"{site.path}:{site.line}"
-                return None, ""
-            frame = frame.f_back
-        return None, ""
-
     def _on_acquire(self, lock, blocking: bool) -> None:
-        role, site = self._resolve(lock)
+        role = self._declared.get(id(lock))
+        if role is not None:
+            site = "<declared>"
+        else:
+            role, site = self._sites.resolve(sys._getframe(1))
         if role is None:
             return
         stack = self._stack()

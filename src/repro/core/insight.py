@@ -163,7 +163,7 @@ class InsightClass(abc.ABC):
         Two classes that return the same non-None key (and have equal
         ``arity``) promise to yield *identical* candidate sequences for any
         table.  The staged query pipeline
-        (:mod:`repro.service.pipeline`) uses this to enumerate a shared
+        (:mod:`repro.core.pipeline`) uses this to enumerate a shared
         domain once per multi-class request instead of once per class.
         Returning None (the default) opts the class out of sharing.
         """

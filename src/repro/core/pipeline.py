@@ -46,9 +46,8 @@ request over same-arity classes enumerates only once and that unpruned
 same-class queries score each candidate once, not twice.
 
 The implementation lives in :mod:`repro.core` (it is execution-engine
-machinery); :mod:`repro.service.pipeline` re-exports it as part of the
-public serving namespace, keeping the import graph strictly
-core ← service.
+machinery); :mod:`repro.service` re-exports its public names as part of
+the serving namespace, keeping the import graph strictly core ← service.
 """
 
 from __future__ import annotations

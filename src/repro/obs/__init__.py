@@ -7,7 +7,9 @@ durable WAL; a structured single-line-JSON event log
 (:mod:`repro.obs.events`, logger name ``repro.obs.events``); per-request
 cost attribution and rolling cost windows (:mod:`repro.obs.resources`);
 the incremental memory ledger (:mod:`repro.obs.ledger`); watchdogs for
-quiet degradation (:mod:`repro.obs.watchdog`); and the
+quiet degradation (:mod:`repro.obs.watchdog`); the one lock
+instrumentation shim (:mod:`repro.obs.lockshim`) and the one latency
+histogram (:mod:`repro.obs.histogram`); and the
 :class:`~repro.obs.config.ObsConfig` knobs (``REPRO_OBS_*`` env / CLI)
 that switch it all on and off.
 
@@ -21,8 +23,8 @@ Design constraints, in order of importance:
 * **No dependencies on the layers it observes.**  ``repro.obs`` imports
   only the standard library (the ledger additionally numpy), so
   ``repro.core``, ``repro.ingest`` and ``repro.service`` can all import
-  it without cycles.  The lock-wait watchdog's import of
-  ``repro.analysis`` is deferred to installation.
+  it without cycles.  The lock shim's import of ``repro.analysis``
+  (for the static site table) is deferred to installation.
 * **Determinism-safe.**  Spans are timed with ``perf_counter``; CPU is
   ``time.thread_time``; the wall clock appears only on root spans and
   is injectable.

@@ -25,15 +25,18 @@ used on any serving path.
 
 from __future__ import annotations
 
+import _thread
 import sys
 import threading
 from typing import Any
 
 import numpy as np
 
+from repro.obs.lockshim import InstrumentedLock
+
 __all__ = ["MemoryLedger", "deep_sizeof", "table_bytes"]
 
-_MACHINERY_TYPES = (type(threading.Lock()), type(threading.RLock()))
+_MACHINERY_TYPES = (_thread.LockType, _thread.RLock, InstrumentedLock)
 
 
 class MemoryLedger:

@@ -19,28 +19,28 @@ Three independent detectors, each emitting structured events through
     rebuilds are rare, so the thread cost is noise.
 
 ``LockWaitWatchdog``
-    Wraps ``threading.Lock`` / ``threading.RLock`` construction (the
-    same factory-patch shape as :class:`repro.analysis.runtime.
-    LockTracker`) so blocking acquisitions that had to *wait* past the
-    threshold are resolved against the statically extracted site table
-    (:func:`repro.analysis.locks.collect_lock_sites`) and reported as
-    ``lock_wait`` events naming the declared lock role.  Uncontended
-    acquisitions pay one try-acquire and no clock read.  Only locks
-    created after installation are timed — install it before building
-    the state you want watched (the workspace does this when its
+    The wait observer of the shared lock shim
+    (:mod:`repro.obs.lockshim`, whose order observer is
+    :class:`repro.analysis.runtime.LockTracker`): blocking acquisitions
+    that had to *wait* past the threshold are resolved against the
+    statically extracted site table and reported as ``lock_wait``
+    events naming the declared lock role.  Uncontended acquisitions pay
+    one try-acquire and no clock read.  Only locks created after
+    installation are timed — install it before building the state you
+    want watched (the workspace does this when its
     ``ObsConfig.lock_wait_ms`` is positive).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
 import threading
 import time
 from collections import deque
 from typing import Any
 
+from repro.obs import lockshim
 from repro.obs.events import emit
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "install_lock_wait",
     "uninstall_lock_wait",
 ]
-
-_MAX_FRAMES = 20
-
 
 class LoopLagMonitor:
     """Samples event-loop scheduling lag from inside the loop."""
@@ -184,48 +181,6 @@ class StallDetector:
             }
 
 
-class _WaitTimedLock:
-    """Proxy over a real lock that times *contended* blocking acquires."""
-
-    __slots__ = ("_inner", "_watchdog")
-
-    def __init__(self, inner, watchdog: "LockWaitWatchdog"):
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_watchdog", watchdog)
-
-    def acquire(self, blocking: bool = True, timeout: float = -1):
-        if not blocking:
-            return self._inner.acquire(blocking, timeout)
-        # Uncontended fast path: no clock read at all.
-        if self._inner.acquire(False):
-            return True
-        started = time.perf_counter()
-        ok = self._inner.acquire(True, timeout)
-        waited = time.perf_counter() - started
-        if ok and waited * 1000.0 >= self._watchdog.threshold_ms:
-            self._watchdog._on_wait(waited)
-        return ok
-
-    def release(self):
-        self._inner.release()
-
-    def __enter__(self):
-        return self.acquire()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.release()
-        return False
-
-    def locked(self):
-        return self._inner.locked()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __repr__(self):
-        return f"<wait-timed {self._inner!r}>"
-
-
 class LockWaitWatchdog:
     """Reports lock acquisitions that waited past the threshold."""
 
@@ -239,78 +194,19 @@ class LockWaitWatchdog:
         self._trips = 0
         self._unattributed = 0
         self._recent: deque[dict[str, Any]] = deque(maxlen=8)
-        self._sites: dict[tuple[str, int], Any] = {}
-        self._files: set[str] = set()
-        self._realpaths: dict[str, str] = {}
-        self._installed = False
-        self._orig_lock = None
-        self._orig_rlock = None
+        self._sites = lockshim.SiteTable({})
 
-    # ------------------------------------------------------------------
-    # Installation (same factory-patch shape as analysis.runtime)
-    # ------------------------------------------------------------------
     def install(self, roots=None) -> "LockWaitWatchdog":
-        from pathlib import Path
-
-        from repro.analysis.locks import collect_lock_sites
-        from repro.analysis.project import DEFAULT_CONFIG
-
-        if roots is None:
-            import repro
-
-            roots = [Path(repro.__file__).resolve().parent]
-        self._sites = collect_lock_sites(roots, DEFAULT_CONFIG)
-        self._files = {path for path, _line in self._sites}
-        if self._installed:
-            return self
-        self._orig_lock = threading.Lock
-        self._orig_rlock = threading.RLock
-        watchdog = self
-
-        def make_lock():
-            return _WaitTimedLock(watchdog._orig_lock(), watchdog)
-
-        def make_rlock():
-            return _WaitTimedLock(watchdog._orig_rlock(), watchdog)
-
-        threading.Lock = make_lock  # type: ignore[assignment]
-        threading.RLock = make_rlock  # type: ignore[assignment]
-        self._installed = True
+        """Load the static site table and time locks created from now on."""
+        self._sites = lockshim.site_table(roots)
+        lockshim.install("wait", self)
         return self
 
     def uninstall(self) -> None:
-        if not self._installed:
-            return
-        threading.Lock = self._orig_lock  # type: ignore[assignment]
-        threading.RLock = self._orig_rlock  # type: ignore[assignment]
-        self._installed = False
-
-    # ------------------------------------------------------------------
-    # Wait reporting
-    # ------------------------------------------------------------------
-    def _realpath(self, filename: str) -> str:
-        cached = self._realpaths.get(filename)
-        if cached is None:
-            cached = os.path.realpath(filename)
-            self._realpaths[filename] = cached
-        return cached
-
-    def _resolve(self) -> tuple[str | None, str]:
-        frame = sys._getframe(2)  # _resolve <- _on_wait <- acquire
-        for _ in range(_MAX_FRAMES):
-            if frame is None:
-                break
-            filename = self._realpath(frame.f_code.co_filename)
-            if filename in self._files:
-                site = self._sites.get((filename, frame.f_lineno))
-                if site is not None and site.lock_id is not None:
-                    return site.lock_id, f"{site.path}:{site.line}"
-                return None, ""
-            frame = frame.f_back
-        return None, ""
+        lockshim.uninstall("wait", self)
 
     def _on_wait(self, waited: float) -> None:
-        role, site = self._resolve()
+        role, site = self._sites.resolve(sys._getframe(1))
         if role is None:
             # Only report locks the site table can name (third-party and
             # test-helper locks stay out, mirroring the runtime tracker).
@@ -331,7 +227,7 @@ class LockWaitWatchdog:
         with self._lock:
             return {
                 "threshold_ms": self.threshold_ms,
-                "installed": self._installed,
+                "installed": lockshim.installed("wait", self),
                 "trips": self._trips,
                 "unattributed": self._unattributed,
                 "recent": list(self._recent),

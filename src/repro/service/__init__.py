@@ -15,6 +15,15 @@ batch of requests out over a thread pool configured by
 """
 
 from repro.core.executor import Executor, ExecutorConfig
+from repro.core.pipeline import (
+    Enumeration,
+    ExecutionPlan,
+    PipelineStats,
+    PlannedQuery,
+    QueryPipeline,
+    RankingResult,
+    ScoredBatch,
+)
 from repro.service.cache import ResultCache
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.dto import (
@@ -25,15 +34,6 @@ from repro.service.dto import (
     error_envelope,
     error_envelope_json,
     is_error_envelope,
-)
-from repro.service.pipeline import (
-    Enumeration,
-    ExecutionPlan,
-    PipelineStats,
-    PlannedQuery,
-    QueryPipeline,
-    RankingResult,
-    ScoredBatch,
 )
 from repro.ingest.maintenance import IngestConfig
 from repro.service.replica import FeedSource, LocalFeedSource, ReplicaWorkspace

@@ -64,6 +64,7 @@ from repro.errors import (
 )
 from repro.core.engine import EngineConfig, Foresight
 from repro.core.executor import ExecutorConfig, create_executor
+from repro.core.pipeline import PipelineStats
 from repro.core.session import ExplorationSession
 from repro.data.table import DataTable
 from repro.ingest.delta import DeltaBatch
@@ -111,7 +112,6 @@ from repro.service.dto import (
     SessionState,
     error_envelope_json,
 )
-from repro.service.pipeline import PipelineStats
 
 #: Concurrency used by :meth:`Workspace.handle_many` when neither the
 #: call nor the workspace's executor config asks for a specific width.

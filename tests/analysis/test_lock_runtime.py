@@ -1,24 +1,29 @@
-"""Tests for the runtime lock-order shim (``repro.analysis.runtime``).
+"""Tests for the runtime lock-order tracker (``repro.analysis.runtime``).
 
 The declare()-based tests drive the tracker directly with pinned roles;
 the install()-based tests prove the end-to-end path: static site table
 from the installed package, patched ``threading`` factories, and a real
-:class:`~repro.service.workspace.Workspace` staying violation-free.
+:class:`~repro.service.workspace.Workspace` staying violation-free.  The
+last class installs the tracker together with the lock-wait watchdog,
+the other observer of the same shim (:mod:`repro.obs.lockshim`).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.analysis.project import DEFAULT_CONFIG
-from repro.analysis.runtime import LockTracker, _TracedLock
+from repro.analysis.runtime import LockTracker
+from repro.obs.lockshim import InstrumentedLock
+from repro.obs.watchdog import LockWaitWatchdog
 
 
-def traced(tracker: LockTracker, role: str, rlock: bool = False) -> _TracedLock:
+def traced(tracker: LockTracker, role: str, rlock: bool = False) -> InstrumentedLock:
     inner = threading.RLock() if rlock else threading.Lock()
-    lock = _TracedLock(inner, tracker)
+    lock = InstrumentedLock(inner, order=tracker)
     tracker.declare(lock, role)
     return lock
 
@@ -115,7 +120,7 @@ class TestInstalledTracker:
     def test_site_table_resolves_from_installed_package(self):
         tracker = LockTracker(DEFAULT_CONFIG).install()
         try:
-            roles = {site.lock_id for site in tracker._sites.values()}
+            roles = {site.lock_id for site in tracker._sites.sites.values()}
             # Acquisition sites for the core roles must be present, or
             # runtime checking would silently check nothing.
             assert {"workspace.entry", "workspace.registry", "cache.lock"} <= roles
@@ -129,9 +134,9 @@ class TestInstalledTracker:
         before_lock, before_rlock = threading.Lock, threading.RLock
         tracker = LockTracker(DEFAULT_CONFIG).install()
         try:
-            assert isinstance(threading.Lock(), _TracedLock)
-            assert isinstance(threading.RLock(), _TracedLock)
-            assert threading.Lock is not before_lock
+            for lock in (threading.Lock(), threading.RLock()):
+                assert isinstance(lock, InstrumentedLock)
+                assert lock._order is tracker
         finally:
             tracker.uninstall()
         assert threading.Lock is before_lock
@@ -184,3 +189,75 @@ class TestInstalledTracker:
         finally:
             tracker.uninstall()
         tracker.assert_clean()
+
+
+class TestSharedWithLockWaitWatchdog:
+    """Both observers installed: one proxy layer, both still observe."""
+
+    @pytest.fixture()
+    def observers(self):
+        before = (threading.Lock, threading.RLock)
+        tracker = LockTracker(DEFAULT_CONFIG).install()
+        watchdog = LockWaitWatchdog(threshold_ms=20.0).install()
+        try:
+            yield tracker, watchdog
+        finally:
+            watchdog.uninstall()
+            tracker.uninstall()
+        assert (threading.Lock, threading.RLock) == before
+
+    def test_new_locks_get_exactly_one_proxy_layer(self, observers):
+        tracker, watchdog = observers
+        for lock in (threading.Lock(), threading.RLock()):
+            assert isinstance(lock, InstrumentedLock)
+            assert not isinstance(lock._inner, InstrumentedLock)
+            assert lock._order is tracker
+            assert lock._wait is watchdog
+        # One site table, parsed once, serves both observers.
+        assert tracker._sites is watchdog._sites
+
+    def test_declared_inversion_is_still_recorded(self, observers):
+        tracker, _watchdog = observers
+        entry = threading.RLock()
+        registry = threading.RLock()
+        tracker.declare(entry, "workspace.entry")
+        tracker.declare(registry, "workspace.registry")
+        with registry:
+            with entry:
+                pass
+        assert [v.kind for v in tracker.violations] == ["inversion"]
+
+    def test_contended_wait_is_still_counted(self, observers):
+        _tracker, watchdog = observers
+        lock = threading.Lock()
+        release = threading.Event()
+
+        def holder():
+            with lock:
+                release.wait()
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        while not lock.locked():
+            time.sleep(0.001)
+        timer = threading.Timer(0.08, release.set)
+        timer.start()
+        with lock:
+            pass
+        thread.join()
+        # Taken outside any declared site: counted, not reported.
+        assert watchdog.snapshot()["unattributed"] == 1
+
+    @pytest.mark.parametrize("tracker_first", [True, False])
+    def test_uninstall_in_either_order_restores_factories(self, tracker_first):
+        before = (threading.Lock, threading.RLock)
+        tracker = LockTracker(DEFAULT_CONFIG).install()
+        watchdog = LockWaitWatchdog(threshold_ms=20.0).install()
+        first, second = (tracker, watchdog) if tracker_first else (watchdog, tracker)
+        first.uninstall()
+        lock = threading.Lock()
+        assert isinstance(lock, InstrumentedLock)
+        assert first not in (lock._order, lock._wait)
+        assert second in (lock._order, lock._wait)
+        second.uninstall()
+        assert (threading.Lock, threading.RLock) == before

@@ -17,6 +17,7 @@ import pytest
 
 from repro.data.datasets import make_mixed_table
 from repro.obs.ledger import MemoryLedger, deep_sizeof, table_bytes
+from repro.obs.watchdog import LockWaitWatchdog
 from repro.service import InsightRequest, Workspace
 
 
@@ -72,7 +73,15 @@ class TestDeepSizeof:
         assert array.nbytes <= total < array.nbytes * 1.1
 
     def test_skips_machinery(self):
-        obj = {"lock": threading.Lock(), "fn": deep_sizeof, "n": 1}
+        # A lock created under the lock instrumentation is a proxy whose
+        # observer holds the whole static site table: still machinery.
+        watchdog = LockWaitWatchdog(threshold_ms=50.0).install()
+        try:
+            instrumented = threading.Lock()
+        finally:
+            watchdog.uninstall()
+        obj = {"lock": threading.Lock(), "instrumented": instrumented,
+               "fn": deep_sizeof, "n": 1}
         assert deep_sizeof(obj) < 1000
 
     def test_cycle_safe(self):

@@ -16,9 +16,9 @@ import pytest
 from repro.core.executor import ExecutorConfig, ParallelExecutor
 from repro.obs.config import ObsConfig
 from repro.obs.events import emit
+from repro.obs.histogram import LATENCY_BUCKETS
 from repro.obs.tracer import (
     NOOP_SPAN,
-    SPAN_BUCKETS,
     Tracer,
     bind,
     carry_current,
@@ -271,7 +271,7 @@ class TestHistograms:
         assert snapshot["max_seconds"] == pytest.approx(0.080)
         assert snapshot["p50_seconds"] == 0.005
         assert snapshot["p99_seconds"] == 0.1
-        assert snapshot["bounds"] == list(SPAN_BUCKETS)
+        assert snapshot["bounds"] == list(LATENCY_BUCKETS)
         assert snapshot["buckets"]["le_0.005"] == 2
         assert snapshot["buckets"]["le_inf"] == 0
 

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.obs.lockshim import InstrumentedLock
 from repro.obs.watchdog import (
     LockWaitWatchdog,
     LoopLagMonitor,
@@ -107,9 +108,7 @@ class TestStallDetector:
 class TestLockWaitWatchdog:
     def test_contended_wait_is_counted(self):
         watchdog = LockWaitWatchdog(threshold_ms=20.0)
-        from repro.obs.watchdog import _WaitTimedLock
-
-        lock = _WaitTimedLock(threading.Lock(), watchdog)
+        lock = InstrumentedLock(threading.Lock(), wait=watchdog)
         release = threading.Event()
 
         def holder():
@@ -133,9 +132,7 @@ class TestLockWaitWatchdog:
 
     def test_uncontended_acquire_records_nothing(self):
         watchdog = LockWaitWatchdog(threshold_ms=1.0)
-        from repro.obs.watchdog import _WaitTimedLock
-
-        lock = _WaitTimedLock(threading.Lock(), watchdog)
+        lock = InstrumentedLock(threading.Lock(), wait=watchdog)
         with lock:
             pass
         snap = watchdog.snapshot()
@@ -148,8 +145,9 @@ class TestLockWaitWatchdog:
         watchdog = LockWaitWatchdog(threshold_ms=50.0)
         try:
             watchdog.install()
-            assert threading.Lock is not original_lock
             lock = threading.Lock()
+            assert isinstance(lock, InstrumentedLock)
+            assert lock._wait is watchdog
             with lock:  # the proxy still behaves like a lock
                 assert lock.locked()
             assert not lock.locked()

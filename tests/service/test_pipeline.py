@@ -9,7 +9,7 @@ from repro.core.insight import EvaluationContext, InsightClass, ScoredCandidate,
 from repro.core.query import InsightQuery, MetricRange
 from repro.core.ranking import RankingEngine
 from repro.core.registry import InsightRegistry, default_registry
-from repro.service.pipeline import PipelineStats, QueryPipeline
+from repro.core.pipeline import PipelineStats, QueryPipeline
 from repro.sketch.store import SketchStore
 
 
